@@ -60,9 +60,9 @@ type Cluster struct {
 // P=1s; override with Options. Parameters are validated against every §5.2
 // constraint of the paper.
 func New(n, f int, opts ...Option) (*Cluster, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
+	o, err := resolveOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	if o.topology == TopologyTwoTier {
 		return newTwoTier(n, f, o)
@@ -131,7 +131,7 @@ func newTwoTier(n, f int, o options) (*Cluster, error) {
 	case o.k > 1:
 		return nil, fmt.Errorf("clocksync: WithKExchanges applies to the flat single-instance round; two-tier rounds are single-exchange per tier — drop WithKExchanges or WithTopology")
 	case o.stagger > 0:
-		return nil, fmt.Errorf("clocksync: WithStagger applies to the flat mesh's broadcast; two-tier traffic is already clustered unicast — drop WithStagger or WithTopology")
+		return nil, fmt.Errorf("clocksync: WithStagger applies to the flat mesh's broadcast; two-tier traffic is already clustered group fan-out — drop WithStagger or WithTopology")
 	case o.delayDist != DelayUniform:
 		return nil, fmt.Errorf("clocksync: WithDelayDistribution configures the flat mesh's delay model; a two-tier topology uses its clustered two-band model — drop WithDelayDistribution or WithTopology")
 	case o.randomDrift:
@@ -382,9 +382,9 @@ func (c *Cluster) faultBuilder(kind FaultKind) func() sim.Process {
 // arbitrarily over `spread` seconds, for approximately `rounds` rounds, and
 // reports the per-round closeness Bᵢ with the Lemma 20 recurrence.
 func RunStartup(n, f int, spread float64, rounds int, opts ...Option) (*StartupReport, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
+	o, err := resolveOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	params := analysis.Params{
 		N: n, F: f,
@@ -423,9 +423,9 @@ func RunStartup(n, f int, spread float64, rounds int, opts ...Option) (*StartupR
 // core.SwitchProc for the message-free switch rule), and then maintRounds of
 // maintenance. The report's skew fields cover the maintenance phase.
 func RunEstablishThenMaintain(n, f int, spread float64, startupRounds, maintRounds int, opts ...Option) (*Report, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
+	o, err := resolveOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	params := analysis.Params{
 		N: n, F: f,

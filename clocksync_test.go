@@ -1,6 +1,8 @@
 package clocksync_test
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -379,5 +381,66 @@ func TestTwoTierRejections(t *testing.T) {
 	// Oversized cluster.
 	if _, err := clocksync.New(10, 0, clocksync.WithClusters(11)); err == nil {
 		t.Error("New accepted a cluster size exceeding n")
+	}
+}
+
+// TestRejectsOutOfDomainOptions pins the entry points' answer to option
+// values outside their domain: a named error, never a panic or a silent
+// reinterpretation. NaN ρ used to pass validation and panic inside the
+// engine's calendar queue; WithShards(-3) and WithSkewSeries(0 or NaN)
+// used to be accepted.
+func TestRejectsOutOfDomainOptions(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name     string
+		n, f     int
+		opts     []clocksync.Option
+		sentinel error  // non-nil: errors.Is must match
+		want     string // substring the error must contain
+	}{
+		{"NaN rho", 4, 1, []clocksync.Option{clocksync.WithRho(nan)}, nil, "ρ = NaN"},
+		{"+Inf rho", 4, 1, []clocksync.Option{clocksync.WithRho(inf)}, nil, "ρ = +Inf"},
+		{"NaN delay", 4, 1, []clocksync.Option{clocksync.WithDelay(nan, 1e-3)}, nil, "δ = NaN"},
+		{"NaN eps", 4, 1, []clocksync.Option{clocksync.WithDelay(10e-3, nan)}, nil, "ε = NaN"},
+		{"NaN beta", 4, 1, []clocksync.Option{clocksync.WithBeta(nan)}, nil, "β = NaN"},
+		{"+Inf round length", 4, 1, []clocksync.Option{clocksync.WithRoundLength(inf)}, nil, "P = +Inf"},
+		{"NaN T0", 4, 1, []clocksync.Option{clocksync.WithT0(nan)}, nil, "T⁰ = NaN"},
+		{"NaN stagger", 4, 1, []clocksync.Option{clocksync.WithStagger(nan)}, nil, "stagger"},
+		{"NaN rho two-tier", 60, 0, []clocksync.Option{clocksync.WithClusters(6), clocksync.WithRho(nan)}, nil, "ρ = NaN"},
+		{"NaN round length two-tier", 60, 0, []clocksync.Option{clocksync.WithClusters(6), clocksync.WithRoundLength(nan)}, nil, "P = NaN"},
+		{"zero shards", 4, 1, []clocksync.Option{clocksync.WithShards(0)}, clocksync.ErrShardCount, "WithShards(0)"},
+		{"negative shards", 4, 1, []clocksync.Option{clocksync.WithShards(-3)}, clocksync.ErrShardCount, "WithShards(-3)"},
+		{"negative shards two-tier", 60, 0, []clocksync.Option{clocksync.WithClusters(6), clocksync.WithShards(-3)}, clocksync.ErrShardCount, "WithShards(-3)"},
+		{"zero skew bucket", 4, 1, []clocksync.Option{clocksync.WithSkewSeries(0)}, clocksync.ErrSkewBucket, "WithSkewSeries(0)"},
+		{"negative skew bucket", 4, 1, []clocksync.Option{clocksync.WithSkewSeries(-1)}, clocksync.ErrSkewBucket, "WithSkewSeries(-1)"},
+		{"NaN skew bucket", 4, 1, []clocksync.Option{clocksync.WithSkewSeries(nan)}, clocksync.ErrSkewBucket, "WithSkewSeries(NaN)"},
+		{"+Inf skew bucket", 4, 1, []clocksync.Option{clocksync.WithSkewSeries(inf)}, clocksync.ErrSkewBucket, "WithSkewSeries(+Inf)"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			c, err := clocksync.New(tt.n, tt.f, tt.opts...)
+			if err == nil {
+				// The bad value must not reach a run either.
+				_, err = c.Run(5)
+				t.Fatalf("New accepted %s (Run error: %v)", tt.name, err)
+			}
+			if tt.sentinel != nil && !errors.Is(err, tt.sentinel) {
+				t.Errorf("error %q is not %v", err, tt.sentinel)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not mention %q", err, tt.want)
+			}
+		})
+	}
+	// The other entry points resolve options the same way.
+	if _, err := clocksync.RunStartup(4, 1, 0.1, 3, clocksync.WithShards(-3)); !errors.Is(err, clocksync.ErrShardCount) {
+		t.Errorf("RunStartup(WithShards(-3)) error = %v, want ErrShardCount", err)
+	}
+	if _, err := clocksync.RunEstablishThenMaintain(4, 1, 0.1, 2, 2, clocksync.WithSkewSeries(nan)); !errors.Is(err, clocksync.ErrSkewBucket) {
+		t.Errorf("RunEstablishThenMaintain(WithSkewSeries(NaN)) error = %v, want ErrSkewBucket", err)
+	}
+	// The in-domain edge still works: one shard is the sequential engine.
+	if _, err := clocksync.New(4, 1, clocksync.WithShards(1)); err != nil {
+		t.Errorf("WithShards(1) rejected: %v", err)
 	}
 }

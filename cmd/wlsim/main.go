@@ -247,7 +247,7 @@ func runTwoTier(n, f, rounds int, rho, p float64, seed int64, clusters, shards i
 		{"eps", "two-tier runs on its own (δ_in, ε_in)/(δ_out, ε_out) substrate pair"},
 		{"beta", "two-tier derives both tiers' A4 spreads"},
 		{"k", "two-tier rounds are single-exchange per tier"},
-		{"stagger", "two-tier traffic is already clustered unicast"},
+		{"stagger", "two-tier traffic is already clustered group fan-out"},
 		{"mean", "both tiers run midpoint averaging"},
 		{"adversarial", "two-tier uses its clustered two-band delay model"},
 		{"faults", "two-tier fault injection lives in experiment E20"},

@@ -155,7 +155,21 @@ func (p Params) StartupWait2() float64 {
 // Validate checks every standing assumption (A1–A4) and the §5.2 parameter
 // constraints, returning an error describing all violations.
 func (p Params) Validate() error {
+	// A NaN input makes every comparison below false and would slip through
+	// to the engine, so non-finite inputs are rejected by name first.
+	// Derived quantities may still be infinite (PMax is +Inf at ρ = 0).
 	var errs []error
+	for _, in := range []struct {
+		name string
+		v    float64
+	}{{"ρ", p.Rho}, {"δ", p.Delta}, {"ε", p.Eps}, {"β", p.Beta}, {"P", p.P}, {"T⁰", p.T0}} {
+		if math.IsNaN(in.v) || math.IsInf(in.v, 0) {
+			errs = append(errs, fmt.Errorf("%s = %v must be finite", in.name, in.v))
+		}
+	}
+	if len(errs) > 0 {
+		return errors.Join(errs...)
+	}
 	if p.N < 1 {
 		errs = append(errs, fmt.Errorf("n = %d must be positive", p.N))
 	}

@@ -268,3 +268,48 @@ func TestPMinLessThanPMaxInSaneRegimes(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsNonFinite pins the finiteness gate: a NaN input fails
+// every ordered comparison, so without it NaN ρ passed Validate and reached
+// the engine's scheduler. ±Inf inputs are rejected too, by name, while a
+// derived +Inf (PMax at ρ = 0) stays legal.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name   string
+		mutate func(*Params)
+		want   string
+	}{
+		{"NaN rho", func(p *Params) { p.Rho = nan }, "ρ = NaN must be finite"},
+		{"+Inf rho", func(p *Params) { p.Rho = inf }, "ρ = +Inf must be finite"},
+		{"NaN delta", func(p *Params) { p.Delta = nan }, "δ = NaN must be finite"},
+		{"+Inf delta", func(p *Params) { p.Delta = inf }, "δ = +Inf must be finite"},
+		{"NaN eps", func(p *Params) { p.Eps = nan }, "ε = NaN must be finite"},
+		{"NaN beta", func(p *Params) { p.Beta = nan }, "β = NaN must be finite"},
+		{"+Inf beta", func(p *Params) { p.Beta = inf }, "β = +Inf must be finite"},
+		{"NaN P", func(p *Params) { p.P = nan }, "P = NaN must be finite"},
+		{"+Inf P", func(p *Params) { p.P = inf }, "P = +Inf must be finite"},
+		{"-Inf T0", func(p *Params) { p.T0 = -inf }, "T⁰ = -Inf must be finite"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			p := Default(7, 2)
+			tt.mutate(&p)
+			err := p.Validate()
+			if err == nil {
+				t.Fatal("expected validation error")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error %q does not mention %q", err, tt.want)
+			}
+		})
+	}
+	p := Default(7, 2)
+	p.Rho = 0
+	if !math.IsInf(p.PMax(), 1) {
+		t.Fatalf("PMax at ρ=0 = %v, want +Inf", p.PMax())
+	}
+	if err := p.Validate(); err != nil {
+		t.Errorf("ρ = 0 (derived PMax = +Inf) rejected: %v", err)
+	}
+}

@@ -42,11 +42,51 @@ func (b *beacon) Receive(ctx *sim.Context, m sim.Message) {
 // processes on drifting clocks, uniform delays, no observers registered.
 func NewSteadyEngine(n int, seed int64) (*sim.Engine, error) {
 	procs := make([]sim.Process, n)
+	for i := range procs {
+		procs[i] = &beacon{period: 1e-3}
+	}
+	return newBeaconEngine(procs, seed)
+}
+
+// rangeBeacon is beacon with group fan-outs: every period it broadcasts to
+// its own block of the id space and to a range straddling the next block
+// boundary, the shapes a clustered protocol's round sends.
+type rangeBeacon struct {
+	period clock.Local
+	block  sim.ProcID
+}
+
+func (b *rangeBeacon) Receive(ctx *sim.Context, m sim.Message) {
+	if m.Kind == sim.KindOrdinary {
+		return
+	}
+	n := sim.ProcID(ctx.N())
+	lo := ctx.ID() / b.block * b.block
+	ctx.BroadcastRange(lo, min(lo+b.block, n), nil)
+	mid := min(lo+b.block/2, n)
+	ctx.BroadcastRange(mid, min(mid+b.block, n), nil)
+	ctx.SetTimer(ctx.PhysNow()+b.period, nil)
+}
+
+// newRangeSteadyEngine is NewSteadyEngine with range fan-outs: n
+// rangeBeacon processes in blocks of `block` ids (the range alloc gate's
+// workload).
+func newRangeSteadyEngine(n, block int, seed int64) (*sim.Engine, error) {
+	procs := make([]sim.Process, n)
+	for i := range procs {
+		procs[i] = &rangeBeacon{period: 1e-3, block: sim.ProcID(block)}
+	}
+	return newBeaconEngine(procs, seed)
+}
+
+// newBeaconEngine runs procs on drifting clocks with staggered starts and
+// uniform delays, no observers registered.
+func newBeaconEngine(procs []sim.Process, seed int64) (*sim.Engine, error) {
+	n := len(procs)
 	clocks := make([]clock.Clock, n)
 	starts := make([]clock.Real, n)
 	drift := clock.ConstantDrift{RhoBound: 1e-5}
 	for i := range procs {
-		procs[i] = &beacon{period: 1e-3}
 		clocks[i] = drift.Build(i, n)
 		starts[i] = clock.Real(i) * 1e-4
 	}

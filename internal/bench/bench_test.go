@@ -6,14 +6,10 @@ import (
 	"repro/internal/sim"
 )
 
-// steadyAllocGate runs the shared allocation gate against one steady-state
-// engine: after warm-up, measured Run slices must stay allocation-free.
-func steadyAllocGate(t *testing.T, n int) {
+// steadyAllocGate runs the shared allocation gate against one fresh
+// steady-state engine: after warm-up, measured Run slices must stay allocation-free.
+func steadyAllocGate(t *testing.T, eng *sim.Engine) {
 	t.Helper()
-	eng, err := NewSteadyEngine(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const perSlice = 5000
 	horizon, err := Advance(eng, 0, 2000) // warm the queue and free list
 	if err != nil {
@@ -47,7 +43,11 @@ func steadyAllocGate(t *testing.T, n int) {
 // benchmarked regime. Each measured Run slice delivers thousands of events;
 // even ≤ 2 allocations per slice is effectively zero per event.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	steadyAllocGate(t, 7) // n = 7: eager broadcasts, heap scheduler
+	eng, err := NewSteadyEngine(7, 1) // n = 7: eager broadcasts, heap scheduler
+	if err != nil {
+		t.Fatal(err)
+	}
+	steadyAllocGate(t, eng)
 }
 
 // TestEngineLazySteadyStateAllocs is the same gate over the lazy broadcast
@@ -86,5 +86,20 @@ func TestEngineLazySteadyStateAllocs(t *testing.T) {
 	if !eng.LazyBroadcast() {
 		t.Fatal("n=40 engine did not resolve to lazy broadcasts; the gate would re-test the eager path")
 	}
-	steadyAllocGate(t, 40)
+	steadyAllocGate(t, eng)
+}
+
+// TestEngineRangeSteadyStateAllocs extends the lazy gate to group fan-outs
+// (BroadcastRange): records of every range length — a process's own block
+// and a range straddling the next block — recycle their copies slices, so
+// the steady state allocates nothing per fan-out.
+func TestEngineRangeSteadyStateAllocs(t *testing.T) {
+	eng, err := newRangeSteadyEngine(40, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.LazyBroadcast() {
+		t.Fatal("n=40 engine did not resolve to lazy broadcasts; the gate would test the eager path")
+	}
+	steadyAllocGate(t, eng)
 }

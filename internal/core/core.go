@@ -110,13 +110,14 @@ func (c Config) Validate() error {
 	if err := cc.Params.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if cc.K > 1 && float64(cc.K)*cc.SubPeriod > cc.P {
+	// The comparisons are negated so that a NaN knob fails them.
+	if cc.K > 1 && !(float64(cc.K)*cc.SubPeriod <= cc.P) {
 		return fmt.Errorf("core: K=%d exchanges of sub-period %v do not fit in round length %v", cc.K, cc.SubPeriod, cc.P)
 	}
-	if cc.Stagger < 0 {
-		return fmt.Errorf("core: negative stagger %v", cc.Stagger)
+	if !(cc.Stagger >= 0) {
+		return fmt.Errorf("core: stagger %v must be nonnegative", cc.Stagger)
 	}
-	if cc.Stagger > 0 && float64(cc.N)*cc.Stagger > cc.P/4 {
+	if cc.Stagger > 0 && !(float64(cc.N)*cc.Stagger <= cc.P/4) {
 		return fmt.Errorf("core: stagger %v too large for n=%d and P=%v", cc.Stagger, cc.N, cc.P)
 	}
 	return nil

@@ -180,3 +180,32 @@ func TestAllExperimentsRun(t *testing.T) {
 		})
 	}
 }
+
+// TestStepBudget pins Run's derived step limit. A flat n=1009 run of ten
+// rounds delivers ≈ 11 rounds of n² copies — more than the engine default —
+// so the budget must scale with K·n² (the E19 derivation) while small
+// systems keep the default as a floor.
+func TestStepBudget(t *testing.T) {
+	tests := []struct {
+		n, k, rounds int
+		want         int
+	}{
+		{4, 1, 10, sim.DefaultMaxSteps},
+		{4, 3, 10, sim.DefaultMaxSteps},
+		{4, 0, 10, sim.DefaultMaxSteps}, // K = 0 means one exchange
+		{1009, 1, 10, 14 * (1009*1009 + 4*1009)},
+		{1009, 3, 10, 14 * (3*1009*1009 + 4*1009)},
+	}
+	for _, tt := range tests {
+		got := stepBudget(tt.n, tt.k, tt.rounds)
+		if got != tt.want {
+			t.Errorf("stepBudget(n=%d, K=%d, rounds=%d) = %d, want %d", tt.n, tt.k, tt.rounds, got, tt.want)
+		}
+		k := max(tt.k, 1)
+		// The run's horizon spans rounds+1 round lengths plus a collection
+		// window: at least rounds+2 full exchanges must fit.
+		if need := (tt.rounds + 2) * (k*tt.n*tt.n + 2*tt.n); got < need {
+			t.Errorf("stepBudget(n=%d, K=%d) = %d cannot cover %d deliveries", tt.n, tt.k, got, need)
+		}
+	}
+}

@@ -134,6 +134,19 @@ func (w Workload) eventHint() int {
 	return hint
 }
 
+// stepBudget is a maintenance workload's delivered-event budget
+// (sim.Config.MaxSteps): rounds plus four of slack, each carrying K
+// all-to-all exchanges (K·n² copies) and a few timers per process — the
+// derivation E19 and hier.System.SimConfig use. It never drops below the
+// engine default, so small workloads keep the headroom their flooding
+// fault automata have always had.
+func stepBudget(n, k, rounds int) int {
+	if k < 1 {
+		k = 1
+	}
+	return max(sim.DefaultMaxSteps, (rounds+4)*(k*n*n+4*n))
+}
+
 // Result bundles the engine and the recorders after a run.
 type Result struct {
 	// Engine is the sequential engine, nil when the workload ran sharded.
@@ -242,6 +255,7 @@ func Run(w Workload) (*Result, error) {
 		Scheduler: w.Scheduler,
 		Broadcast: w.broadcastMode(),
 		EventHint: w.eventHint(),
+		MaxSteps:  stepBudget(n, cfg.K, rounds),
 	}
 	var eng *sim.Engine
 	var se *sim.ShardedEngine

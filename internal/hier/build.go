@@ -67,19 +67,21 @@ func Build(cfg Config) (*System, error) {
 }
 
 // SimConfig returns an engine configuration for running the system `rounds`
-// maintenance rounds: the clustered two-band network, a queue hint sized to
-// the hierarchy's per-round copy count (not the flat n²), and a step budget
-// with the same slack factor the flat experiments use.
+// maintenance rounds: the clustered two-band network and a step budget sized
+// to the hierarchy's per-round copy count (not the flat n²) with the same
+// slack factor the flat experiments use. Every round message is a group
+// fan-out (one lazy record per cluster round at n ≥ 32), so the queue
+// population is the flat lazy engine's O(n) and the engine's default event
+// hint sizes it.
 func (s *System) SimConfig(rounds int, seed int64) sim.Config {
 	perRound := int(s.Cfg.MsgsPerRound())
 	return sim.Config{
-		Procs:     s.Procs,
-		Clocks:    s.Clocks,
-		StartAt:   s.Starts,
-		Delay:     NewClusteredDelay(s.Cfg),
-		Seed:      seed,
-		EventHint: perRound + 4*s.Cfg.N + 64,
-		MaxSteps:  (rounds + 4) * (perRound + 4*s.Cfg.N),
+		Procs:    s.Procs,
+		Clocks:   s.Clocks,
+		StartAt:  s.Starts,
+		Delay:    NewClusteredDelay(s.Cfg),
+		Seed:     seed,
+		MaxSteps: (rounds + 4) * (perRound + 4*s.Cfg.N),
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Processes are grouped into clusters of (up to) ClusterSize contiguous ids.
 // Every cluster runs the algorithm internally on a fast intra-cluster
-// substrate (δ_in, ε_in): each member unicasts its round mark to its cluster
+// substrate (δ_in, ε_in): each member broadcasts its round mark to its cluster
 // only, so a round costs ≈ n·c copies instead of n². Each cluster's acting
 // representative runs a second instance of the same algorithm across
 // clusters on the (slower, wider) inter-cluster substrate (δ_out, ε_out),
@@ -31,6 +31,7 @@ package hier
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/sim"
@@ -187,7 +188,9 @@ func (c Config) Validate() error {
 	if err := c.OuterParams().Validate(); err != nil {
 		errs = append(errs, fmt.Errorf("outer tier: %w", err))
 	}
-	if c.ElectAfter <= c.P {
+	if math.IsNaN(c.ElectAfter) || math.IsInf(c.ElectAfter, 0) {
+		errs = append(errs, fmt.Errorf("election timeout %v must be finite", c.ElectAfter))
+	} else if c.ElectAfter <= c.P {
 		errs = append(errs, fmt.Errorf("election timeout %v must exceed the round length %v (one missed heartbeat is not silence)", c.ElectAfter, c.P))
 	}
 	return errors.Join(errs...)
@@ -197,7 +200,7 @@ func (c Config) Validate() error {
 func (c Config) MsgsPerRoundFlat() float64 { return float64(c.N) * float64(c.N) }
 
 // MsgsPerRound estimates the hierarchy's per-round copy count: every member
-// unicasts to its cluster (Σ c_j² ≈ n·c), every representative sends one
+// broadcasts to its cluster (Σ c_j² ≈ n·c), every representative sends one
 // outer mark per foreign candidate plus a self copy (m·((m−1)·cand + 1))
 // and disciplines its followers (Σ (c_j−1)).
 func (c Config) MsgsPerRound() float64 {

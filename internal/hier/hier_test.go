@@ -2,6 +2,7 @@ package hier
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/invariant"
@@ -168,6 +169,42 @@ func TestValidateRejects(t *testing.T) {
 		tc.mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, cfg)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: every float input of a two-tier config is
+// checked for NaN/±Inf and named in the error — a NaN fails every ordered
+// comparison, so without the gate it reached the engine.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"NaN rho", func(c *Config) { c.Rho = nan }, "ρ = NaN"},
+		{"+Inf rho", func(c *Config) { c.Rho = inf }, "ρ = +Inf"},
+		{"NaN inner delta", func(c *Config) { c.InnerDelta = nan }, "inner tier: δ = NaN"},
+		{"NaN inner eps", func(c *Config) { c.InnerEps = nan }, "inner tier: ε = NaN"},
+		{"+Inf inner beta", func(c *Config) { c.InnerBeta = inf }, "inner tier: β = +Inf"},
+		{"NaN outer delta", func(c *Config) { c.OuterDelta = nan }, "outer tier: δ = NaN"},
+		{"-Inf outer eps", func(c *Config) { c.OuterEps = -inf }, "outer tier: ε = -Inf"},
+		{"NaN outer beta", func(c *Config) { c.OuterBeta = nan }, "outer tier: β = NaN"},
+		{"NaN P", func(c *Config) { c.P = nan }, "P = NaN"},
+		{"NaN T0", func(c *Config) { c.T0 = nan }, "T⁰ = NaN"},
+		{"NaN election timeout", func(c *Config) { c.ElectAfter = nan }, "election timeout NaN must be finite"},
+		{"+Inf election timeout", func(c *Config) { c.ElectAfter = inf }, "election timeout +Inf must be finite"},
+	} {
+		cfg := Default(12, 4)
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -279,17 +279,11 @@ func (m *Member) receiveOrdinary(ctx *sim.Context, msg sim.Message) {
 	}
 }
 
-// innerBroadcast is §4.2's BCAST step restricted to the own cluster: c
-// unicast copies instead of n broadcast copies.
+// innerBroadcast is §4.2's BCAST step restricted to the own cluster: one
+// group fan-out of c copies instead of n broadcast copies.
 func (m *Member) innerBroadcast(ctx *sim.Context) {
 	ctx.Annotate(metrics.TagRoundBegin, float64(m.inner.rnd))
-	// Box the payload once: unicasting a fresh interface value per copy is
-	// the dominant allocation at large n (lazy broadcasts pay it once per
-	// round; this loop is the unicast equivalent).
-	var pl any = TMsg{Tier: TierInner, Mark: m.inner.t}
-	for q := m.lo; q < m.hi; q++ {
-		ctx.Send(q, pl)
-	}
+	ctx.BroadcastRange(m.lo, m.hi, TMsg{Tier: TierInner, Mark: m.inner.t})
 	m.armInner(ctx, m.inner.t+clock.Local(m.inner.window))
 	m.inner.flag = phaseUpdate
 }
@@ -359,21 +353,20 @@ func (m *Member) outerTimer(ctx *sim.Context) {
 		ctx.Annotate(metrics.TagOuterAdjust, adj)
 		m.outer.advance()
 		m.armOuter(ctx, m.outer.t)
+		// The relay goes to every follower: the cluster minus the sender,
+		// as the two ranges around it (one boxed payload for both).
 		var pl any = Discipline{Adj: adj, Round: int32(m.outer.rnd - 1)}
-		for q := m.lo; q < m.hi; q++ {
-			if q != m.id {
-				ctx.Send(q, pl)
-			}
-		}
+		ctx.BroadcastRange(m.lo, m.id, pl)
+		ctx.BroadcastRange(m.id+1, m.hi, pl)
 		m.lastDisc = m.local(ctx)
 	}
 }
 
 // outerBroadcast sends the outer round mark to every foreign cluster's
-// candidate set (so a representative elected later still has warm peers) and
-// records the own-cluster slot directly at the nominal substrate offset —
-// looping a copy through the intra-cluster channel would stamp it with an
-// inner-band delay and bias the midpoint low.
+// candidate set, one group fan-out per cluster (so a representative elected
+// later still has warm peers), and records the own-cluster slot directly at
+// the nominal substrate offset — looping a copy through the intra-cluster
+// channel would stamp it with an inner-band delay and bias the midpoint low.
 func (m *Member) outerBroadcast(ctx *sim.Context) {
 	mark := m.outer.t
 	var pl any = TMsg{Tier: TierOuter, Mark: mark}
@@ -387,9 +380,7 @@ func (m *Member) outerBroadcast(ctx *sim.Context) {
 		if size := int(hi - lo); cands > size {
 			cands = size
 		}
-		for r := 0; r < cands; r++ {
-			ctx.Send(lo+sim.ProcID(r), pl)
-		}
+		ctx.BroadcastRange(lo, lo+sim.ProcID(cands), pl)
 	}
 	m.armOuter(ctx, mark+clock.Local(m.outer.window))
 	m.outer.flag = phaseUpdate

@@ -635,13 +635,15 @@ func (s *sched) pushHead(b int32) {
 	s.push(&ev)
 }
 
-// pushBroadcast files one logical broadcast as a lazy record and enqueues its
-// head. at/ok are the delivery pipeline's per-recipient results (the pipeline
-// already ran — see Engine.Broadcast); local, when non-nil, filters the
-// record to the copies this engine owns (sharded mode; remote copies travel
-// as bcastChunks). seqBase/det fix the copies' sequence numbers exactly as
-// the eager path would have assigned them.
-func (s *sched) pushBroadcast(from ProcID, sentAt clock.Real, payload any, at []clock.Real, ok, local []bool, seqBase uint64, det bool) {
+// pushBroadcast files one logical fan-out to the processes lo…lo+len(ok)−1
+// as a lazy record and enqueues its head. at/ok are the delivery pipeline's
+// per-recipient results (the pipeline already ran — see
+// Engine.BroadcastRange); local, when non-nil, filters the record to the
+// copies this engine owns (sharded mode; remote copies travel as
+// bcastChunks), and count is how many copies pass the filter (> 0).
+// seqBase/det fix the copies' sequence numbers exactly as the eager path
+// would have assigned them.
+func (s *sched) pushBroadcast(from, lo ProcID, sentAt clock.Real, payload any, at []clock.Real, ok, local []bool, count int, seqBase uint64, det bool) {
 	b := s.bcasts.alloc()
 	rec := &s.bcasts.recs[b]
 	rec.from, rec.sentAt, rec.payload = from, sentAt, payload
@@ -653,25 +655,25 @@ func (s *sched) pushBroadcast(from ProcID, sentAt clock.Real, payload any, at []
 		// draw capacity back out instead of regrowing from nil.
 		copies = s.takeCopySlice()
 	}
+	if cap(copies) < count {
+		// Size the slice once for the whole fan-out rather than doubling.
+		copies = make([]bcopy, 0, count)
+	}
 	rank := int32(0)
-	for q := range ok {
-		if !ok[q] {
+	for i := range ok {
+		if !ok[i] {
 			continue
 		}
 		r := rank
 		rank++
+		q := lo + ProcID(i)
 		if local != nil && !local[q] {
 			continue
 		}
 		if det {
 			r = int32(q)
 		}
-		copies = append(copies, bcopy{at: float64(at[q]), pid: int32(q), rank: r})
-	}
-	if len(copies) == 0 {
-		rec.payload = nil
-		s.bcasts.free = append(s.bcasts.free, b)
-		return
+		copies = append(copies, bcopy{at: float64(at[i]), pid: int32(q), rank: r})
 	}
 	sortCopies(copies)
 	rec.copies = copies

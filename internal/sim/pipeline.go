@@ -3,11 +3,11 @@ package sim
 import "repro/internal/clock"
 
 // This file implements the delivery pipeline: every ordinary message copy —
-// unicast or batched broadcast fan-out — flows through an ordered chain of
-// typed stages before it is enqueued:
+// unicast or batched (range) broadcast fan-out — flows through an ordered
+// chain of typed stages before it is enqueued:
 //
 //	DelayStage      sample the copy's base delay from the workload's
-//	                DelayModel (batched via SampleAll on the broadcast path)
+//	                DelayModel (batched via SampleAll on a full broadcast)
 //	AdversaryStage  give a registered adaptive adversary one clamped
 //	                retiming pass (inactive — a nil-check — when no
 //	                adversary is installed)
@@ -57,15 +57,18 @@ func (s *DelayStage) sample(from, to ProcID, at clock.Real, rng *RNG) float64 {
 	return s.model.Sample(from, to, at, rng)
 }
 
-// sampleAll fills out[q] with the delay of the copy to process q, drawing
-// exactly the stream n per-copy sample calls would.
-func (s *DelayStage) sampleAll(from ProcID, n int, at clock.Real, rng *RNG, out []float64) {
-	if s.batch != nil {
+// sampleRange fills out[i] with the delay of the copy to process lo+i,
+// drawing exactly the stream len(out) per-copy sample calls in pid order
+// would. Only the full fan-out (lo = 0, all n processes) goes through the
+// model's batched SampleAll: BatchDelayModel's contract covers the whole
+// system, so a partial range samples per copy.
+func (s *DelayStage) sampleRange(from, lo ProcID, n int, at clock.Real, rng *RNG, out []float64) {
+	if s.batch != nil && lo == 0 && len(out) == n {
 		s.batch.SampleAll(from, n, at, rng, out)
 		return
 	}
-	for q := 0; q < n; q++ {
-		out[q] = s.model.Sample(from, ProcID(q), at, rng)
+	for i := range out {
+		out[i] = s.model.Sample(from, lo+ProcID(i), at, rng)
 	}
 }
 
@@ -98,19 +101,19 @@ func (s *RouteStage) route(from, to ProcID, sentAt clock.Real, base float64) (cl
 	return s.channel.Route(from, to, sentAt, base)
 }
 
-// routeAll routes the copy to every process q = 0..n−1 in pid order,
-// evolving any channel state (e.g. Ether's per-receiver contention
-// bookkeeping) exactly as n successive Route calls would.
-func (s *RouteStage) routeAll(from ProcID, sentAt clock.Real, base []float64, at []clock.Real, ok []bool) {
+// routeRange routes the copy to every process lo+i in pid order, evolving
+// any channel state (e.g. Ether's per-receiver contention bookkeeping)
+// exactly as len(base) successive Route calls would.
+func (s *RouteStage) routeRange(from, lo ProcID, sentAt clock.Real, base []float64, at []clock.Real, ok []bool) {
 	if s.mesh {
-		for q := range base {
-			at[q] = sentAt + clock.Real(base[q])
-			ok[q] = true
+		for i := range base {
+			at[i] = sentAt + clock.Real(base[i])
+			ok[i] = true
 		}
 		return
 	}
-	for q := range base {
-		at[q], ok[q] = s.channel.Route(from, ProcID(q), sentAt, base[q])
+	for i := range base {
+		at[i], ok[i] = s.channel.Route(from, lo+ProcID(i), sentAt, base[i])
 	}
 }
 
@@ -159,15 +162,16 @@ func (p *Pipeline) unicast(from, to ProcID, sentAt clock.Real, rng *RNG) (clock.
 	return p.Route.route(from, to, sentAt, base)
 }
 
-// broadcast runs a full fan-out through the chain using the engine's
-// reusable per-broadcast buffers: one batched delay-sampling pass, one
-// (optional) adversary pass per copy, one routing pass.
-func (p *Pipeline) broadcast(from ProcID, n int, sentAt clock.Real, rng *RNG, base []float64, at []clock.Real, ok []bool) {
-	p.Delay.sampleAll(from, n, sentAt, rng, base)
+// fanOut runs one fan-out to the processes lo…lo+len(base)−1 through the
+// chain using the engine's reusable per-broadcast buffers: one delay-
+// sampling pass (batched for a full broadcast), one (optional) adversary
+// pass per copy, one routing pass — every pass in pid order.
+func (p *Pipeline) fanOut(from, lo ProcID, n int, sentAt clock.Real, rng *RNG, base []float64, at []clock.Real, ok []bool) {
+	p.Delay.sampleRange(from, lo, n, sentAt, rng, base)
 	if p.Adversary.active() {
-		for q := 0; q < n; q++ {
-			base[q] = p.Adversary.retime(from, ProcID(q), sentAt, base[q])
+		for i := range base {
+			base[i] = p.Adversary.retime(from, lo+ProcID(i), sentAt, base[i])
 		}
 	}
-	p.Route.routeAll(from, sentAt, base, at, ok)
+	p.Route.routeRange(from, lo, sentAt, base, at, ok)
 }

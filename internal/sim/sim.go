@@ -327,7 +327,9 @@ type Engine struct {
 	timersLapsed int64 // timers requested for the past (dropped per §2.2)
 }
 
-const defaultMaxSteps = 10_000_000
+// DefaultMaxSteps is the step limit of an engine whose Config.MaxSteps is
+// zero. Workloads larger than a few million deliveries derive their own.
+const DefaultMaxSteps = 10_000_000
 
 // New validates the configuration and builds an engine with the START
 // messages pending, matching the initial buffer state of §2.2.
@@ -386,7 +388,7 @@ func newEngine(cfg Config, sh *shardSetup) (*Engine, error) {
 	}
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
-		maxSteps = defaultMaxSteps
+		maxSteps = DefaultMaxSteps
 	}
 	e := &Engine{
 		procs:    cfg.Procs,
@@ -689,45 +691,62 @@ func (e *Engine) annotate(p ProcID, tag string, v float64) {
 }
 
 // Broadcast schedules one ordinary message copy from p to every process,
-// including itself, as a single batched fan-out through the delivery
-// pipeline: delays for all n copies are sampled in one call (in fixed pid
-// order, drawing exactly the stream the per-copy path would), the adversary
-// stage — when installed — retimes each copy inside its clamp envelope, and
-// the route stage maps them to delivery times in one pass. The pipeline runs
-// in full here regardless of materialization mode, so the RNG stream, any
-// channel state (e.g. Ether contention), the send hooks and the sent/lost
-// counters evolve identically whether copies then enter the queue eagerly
-// (one queue slot per copy) or lazily (one record whose copies surface at
-// pop time — see BroadcastMode and bcastRec). The payload is shared across
-// copies, and the per-copy (DeliverAt, seq) order is identical to n
-// successive Send calls, so executions are byte-for-byte unchanged.
+// including itself: the [0, n) case of BroadcastRange.
 func (e *Engine) Broadcast(from ProcID, payload any) {
+	e.BroadcastRange(from, 0, ProcID(len(e.procs)), payload)
+}
+
+// BroadcastRange schedules one ordinary message copy from p to every process
+// lo…hi−1 as a single batched fan-out through the delivery pipeline: delays
+// for all copies are sampled in one pass (in pid order, drawing exactly the
+// stream per-copy sends would), the adversary stage — when installed —
+// retimes each copy inside its clamp envelope, and the route stage maps them
+// to delivery times in one pass. The pipeline runs in full here regardless
+// of materialization mode, so the RNG stream, any channel state (e.g. Ether
+// contention), the send hooks and the sent/lost counters evolve in the order
+// the equivalent Send loop would drive them, whether copies then enter the
+// queue eagerly (one queue slot per copy) or lazily (one record whose copies
+// surface at pop time — see BroadcastMode and bcastRec). The payload is
+// shared across copies, and the per-copy (DeliverAt, seq) order is that of
+// hi−lo successive Send calls: in counter mode the copies take the same
+// consecutive sequence numbers, and in sharded mode the fan-out takes one
+// send index whose packed keys from|sidx|to order the copies exactly as
+// consecutive indices would. An empty range sends nothing.
+func (e *Engine) BroadcastRange(from, lo, hi ProcID, payload any) {
 	n := len(e.procs)
-	base, at, ok := e.bcastDelay[:n], e.bcastAt[:n], e.bcastOK[:n]
-	e.pipe.broadcast(from, n, e.now, e.rngFor(from), base, at, ok)
+	if lo < 0 || hi > ProcID(n) || lo > hi {
+		panic(fmt.Sprintf("sim: broadcast range [%d, %d) outside [0, %d)", lo, hi, n))
+	}
+	c := int(hi - lo)
+	if c == 0 {
+		return
+	}
+	base, at, ok := e.bcastDelay[:c], e.bcastAt[:c], e.bcastOK[:c]
+	e.pipe.fanOut(from, lo, n, e.now, e.rngFor(from), base, at, ok)
 	var sidx uint64
 	if e.detSeq {
 		sidx = e.sidx[from]
 		e.sidx[from]++
 	}
 	if e.lazy {
-		e.broadcastLazy(from, payload, at, ok, sidx)
+		e.fanOutLazy(from, lo, payload, at, ok, sidx)
 		return
 	}
 	// Eager: one template event, patched per receiver — the 64-byte struct
 	// and its write-barriered Payload words are built once and copied
 	// exactly once per copy, into the queue slot.
 	ev := event{msg: Message{From: from, Kind: KindOrdinary, Payload: payload, SentAt: e.now}}
-	for q := 0; q < n; q++ {
-		if !ok[q] {
+	for i := range ok {
+		if !ok[i] {
 			e.msgsLost++
 			continue
 		}
 		e.msgsSent++
-		ev.msg.To = ProcID(q)
-		ev.msg.DeliverAt = at[q]
+		q := lo + ProcID(i)
+		ev.msg.To = q
+		ev.msg.DeliverAt = at[i]
 		if e.detSeq {
-			ev.seq = e.packSeq(from, sidx, ProcID(q))
+			ev.seq = e.packSeq(from, sidx, q)
 		} else {
 			ev.seq = e.seq
 			e.seq++
@@ -743,29 +762,33 @@ func (e *Engine) Broadcast(from ProcID, payload any) {
 	}
 }
 
-// broadcastLazy is Broadcast's lazy tail: per-copy accounting and hooks run
-// here, in pid order, exactly as the eager loop would, then the surviving
-// copies are filed as one record (plus, in sharded mode, one chunk per
-// remote shard) instead of n queue slots.
-func (e *Engine) broadcastLazy(from ProcID, payload any, at []clock.Real, ok []bool, sidx uint64) {
+// fanOutLazy is BroadcastRange's lazy tail: per-copy accounting and hooks
+// run here, in pid order, exactly as the eager loop would, then the
+// surviving copies are filed as one record (plus, in sharded mode, one chunk
+// per remote shard) instead of one queue slot per copy.
+func (e *Engine) fanOutLazy(from, lo ProcID, payload any, at []clock.Real, ok []bool, sidx uint64) {
 	seqBase := e.seq
 	if e.detSeq {
 		seqBase = e.packSeq(from, sidx, 0)
 	}
-	delivered := uint64(0)
-	for q := range ok {
-		if !ok[q] {
+	delivered, local := uint64(0), 0
+	for i := range ok {
+		if !ok[i] {
 			e.msgsLost++
 			continue
 		}
 		e.msgsSent++
+		q := lo + ProcID(i)
 		if e.advCtl != nil {
 			e.advCtl.onSend(Message{
-				From: from, To: ProcID(q), Kind: KindOrdinary,
-				Payload: payload, SentAt: e.now, DeliverAt: at[q],
+				From: from, To: q, Kind: KindOrdinary,
+				Payload: payload, SentAt: e.now, DeliverAt: at[i],
 			})
 		}
 		delivered++
+		if e.local == nil || e.local[q] {
+			local++
+		}
 	}
 	if !e.detSeq {
 		e.seq += delivered
@@ -773,20 +796,23 @@ func (e *Engine) broadcastLazy(from ProcID, payload any, at []clock.Real, ok []b
 	if delivered == 0 {
 		return
 	}
-	if e.local != nil {
+	if local < int(delivered) {
 		// Sharded: file the remote copies as one chunk per destination
 		// shard (adopted into that shard's record store at the barrier).
-		e.chunkRemote(from, payload, at, ok, seqBase)
+		e.chunkRemote(from, lo, payload, at, ok, seqBase)
 	}
-	e.queue.pushBroadcast(from, e.now, payload, at, ok, e.local, seqBase, e.detSeq)
+	if local > 0 {
+		e.queue.pushBroadcast(from, lo, e.now, payload, at, ok, e.local, local, seqBase, e.detSeq)
+	}
 }
 
 // chunkRemote splits a lazy fan-out's non-local copies into per-destination-
 // shard chunks, sorted and sequence-keyed exactly as the destination's
 // record chain requires.
-func (e *Engine) chunkRemote(from ProcID, payload any, at []clock.Real, ok []bool, seqBase uint64) {
-	for q := range ok {
-		if !ok[q] || e.local[q] {
+func (e *Engine) chunkRemote(from, lo ProcID, payload any, at []clock.Real, ok []bool, seqBase uint64) {
+	for i := range ok {
+		q := lo + ProcID(i)
+		if !ok[i] || e.local[q] {
 			continue
 		}
 		d := e.shardOf[q]
@@ -796,9 +822,12 @@ func (e *Engine) chunkRemote(from ProcID, payload any, at []clock.Real, ok []boo
 			// chunks return their capacity on exhaustion (advanceBcast), and
 			// cross-shard traffic is symmetric enough that the pool feeds the
 			// outgoing side — steady-state windows allocate no chunk storage.
+			// A slice is sized once for what this fan-out can put there — its
+			// length, capped at the destination shard's process count — so a
+			// pooled slice too small for it is replaced rather than regrown.
 			copies := e.queue.takeCopySlice()
-			if copies == nil {
-				copies = make([]bcopy, 0, e.shardProcs[d])
+			if bound := min(len(ok), int(e.shardProcs[d])); cap(copies) < bound {
+				copies = make([]bcopy, 0, bound)
 			}
 			cl = append(cl, bcastChunk{
 				from: from, sentAt: e.now, payload: payload,
@@ -806,7 +835,7 @@ func (e *Engine) chunkRemote(from ProcID, payload any, at []clock.Real, ok []boo
 			})
 		}
 		ch := &cl[len(cl)-1]
-		ch.copies = append(ch.copies, bcopy{at: float64(at[q]), pid: int32(q), rank: int32(q)})
+		ch.copies = append(ch.copies, bcopy{at: float64(at[i]), pid: int32(q), rank: int32(q)})
 		e.outChunks[d] = cl
 	}
 	for d := range e.outChunks {
@@ -894,9 +923,18 @@ func (c *Context) Send(to ProcID, payload any) { c.eng.send(c.pid, to, payload) 
 // Broadcast sends the payload to every process, including the sender (§2.2:
 // every process can communicate with every process, including itself). Each
 // copy's delay is drawn independently within [δ−ε, δ+ε]. The fan-out runs
-// through the engine's batched path (Engine.Broadcast): one delay-sampling
-// call, one routing call, one queue pass for all n copies.
+// through the engine's batched path (Engine.BroadcastRange over [0, n)): one
+// delay-sampling call, one routing call, one queue pass for all n copies.
 func (c *Context) Broadcast(payload any) { c.eng.Broadcast(c.pid, payload) }
+
+// BroadcastRange sends the payload to every process lo…hi−1 (which may
+// include the sender) as one batched fan-out — the group broadcast a
+// clustered protocol's round uses. It delivers exactly what a Send loop over
+// the range in id order would, at the cost of one fan-out instead of hi−lo
+// sends (see Engine.BroadcastRange). An empty range sends nothing.
+func (c *Context) BroadcastRange(lo, hi ProcID, payload any) {
+	c.eng.BroadcastRange(c.pid, lo, hi, payload)
+}
 
 // SetTimer requests a TIMER interrupt when the process's physical clock
 // reaches T. The payload is returned in the TIMER message.

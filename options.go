@@ -1,6 +1,10 @@
 package clocksync
 
 import (
+	"errors"
+	"fmt"
+	"math"
+
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -92,6 +96,28 @@ type options struct {
 	rejoinID      int
 	rejoinWake    float64
 	rejoinCorr    float64
+
+	errs []error // option values outside their domain (see resolveOptions)
+}
+
+// Option-value errors. An entry point given an option value outside its
+// domain returns one of these, wrapped with the option and the value; test
+// with errors.Is.
+var (
+	// ErrShardCount: WithShards needs at least one shard.
+	ErrShardCount = errors.New("shard count must be at least 1")
+	// ErrSkewBucket: WithSkewSeries needs a positive, finite bucket width.
+	ErrSkewBucket = errors.New("skew-series bucket must be positive and finite")
+)
+
+// resolveOptions applies opts over the defaults and reports every option
+// value outside its domain.
+func resolveOptions(opts []Option) (options, error) {
+	o := defaultOptions()
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o, errors.Join(o.errs...)
 }
 
 func defaultOptions() options {
@@ -165,8 +191,17 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // n"). The execution — every delivery, every measured quantity — is
 // byte-identical for every k, so the knob trades nothing but hardware.
 // Features the sharded engine rejects (an adversary strategy, per-delivery
-// tracing) fail Run with a clear error; k ≤ 1 means the sequential engine.
-func WithShards(k int) Option { return func(o *options) { o.shards = k } }
+// tracing) fail Run with a clear error; k = 1 means the sequential engine,
+// and k < 1 fails New with ErrShardCount.
+func WithShards(k int) Option {
+	return func(o *options) {
+		if k < 1 {
+			o.errs = append(o.errs, fmt.Errorf("clocksync: WithShards(%d): %w", k, ErrShardCount))
+			return
+		}
+		o.shards = k
+	}
+}
 
 // WithInitialSpread spreads the initial logical clocks over the given real
 // width (default 0.9β; pass more to watch convergence from out-of-spec
@@ -175,9 +210,17 @@ func WithInitialSpread(width float64) Option {
 	return func(o *options) { o.initialSpread = width }
 }
 
-// WithSkewSeries collects a per-bucket max-skew series in the report.
+// WithSkewSeries collects a per-bucket max-skew series in the report. The
+// bucket width is in real seconds; a non-positive or non-finite width fails
+// New with ErrSkewBucket.
 func WithSkewSeries(bucket float64) Option {
-	return func(o *options) { o.skewBucket = clock.Real(bucket) }
+	return func(o *options) {
+		if !(bucket > 0) || math.IsInf(bucket, 1) {
+			o.errs = append(o.errs, fmt.Errorf("clocksync: WithSkewSeries(%v): %w", bucket, ErrSkewBucket))
+			return
+		}
+		o.skewBucket = clock.Real(bucket)
+	}
 }
 
 // WithDelayDistribution selects the delay distribution.
